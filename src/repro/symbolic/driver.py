@@ -14,7 +14,7 @@ from typing import Dict, Optional, Tuple
 import scipy.sparse as sp
 
 from ..matrices.collection import Problem
-from .etree import column_counts, elimination_tree, postorder
+from .etree import column_counts, elimination_tree, postorder, postordered_parent
 from .graph import permute_symmetric, symmetrize_pattern
 from .ordering import compute_ordering
 from .supernodes import fundamental_supernodes, relaxed_amalgamation
@@ -50,11 +50,11 @@ def analyze_matrix(
     parent = elimination_tree(Bp)
     # Postorder the matrix so supernodes are contiguous pivot blocks — the
     # standard trick: relabel columns by postorder position, which preserves
-    # fill and makes fundamental supernodes consecutive.
+    # fill and makes fundamental supernodes consecutive.  The etree of the
+    # postordered matrix is the same tree, relabelled.
     post = postorder(parent)
-    perm2 = perm[post]
-    Bp2 = permute_symmetric(B, perm2)
-    parent2 = elimination_tree(Bp2)
+    Bp2 = permute_symmetric(B, perm[post])
+    parent2 = postordered_parent(parent, post)
     cc = column_counts(Bp2, parent2)
     snodes = fundamental_supernodes(parent2, cc)
     snodes = relaxed_amalgamation(

@@ -10,7 +10,6 @@ code, which is deliberately NumPy-vectorized where it matters.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -70,40 +69,11 @@ def permute_symmetric(A: sp.csr_matrix, perm: np.ndarray) -> sp.csr_matrix:
     new order = old labels listed in elimination order).
     """
     n = A.shape[0]
-    if sorted(perm) != list(range(n)):
+    perm = np.asarray(perm)
+    if not np.array_equal(np.sort(perm), np.arange(n)):
         raise ValueError("perm is not a permutation")
-    P = sp.csr_matrix(
-        (np.ones(n), (np.arange(n), np.asarray(perm))), shape=(n, n)
-    )
+    P = sp.csr_matrix((np.ones(n), (np.arange(n), perm)), shape=(n, n))
     M = (P @ A @ P.T).tocsr()
     M.sort_indices()
     return M
 
-
-def connected_components_subset(
-    adj: Adjacency, vertices: np.ndarray
-) -> Tuple[np.ndarray, int]:
-    """Connected components of the subgraph induced by ``vertices``.
-
-    Returns ``(labels, ncomp)`` where ``labels`` follows the order of
-    ``vertices``.  BFS with an int marker array — O(V + E) of the subgraph.
-    """
-    n = adj.n
-    inset = np.full(n, -1, dtype=np.int64)
-    inset[vertices] = np.arange(len(vertices))
-    labels = np.full(len(vertices), -1, dtype=np.int64)
-    ncomp = 0
-    for start_pos in range(len(vertices)):
-        if labels[start_pos] != -1:
-            continue
-        stack = [int(vertices[start_pos])]
-        labels[start_pos] = ncomp
-        while stack:
-            v = stack.pop()
-            for w in adj.neighbors(v):
-                pos = inset[w]
-                if pos >= 0 and labels[pos] == -1:
-                    labels[pos] = ncomp
-                    stack.append(int(w))
-        ncomp += 1
-    return labels, ncomp

@@ -3,12 +3,16 @@
 The paper orders with METIS (nested dissection).  METIS is not available
 offline, so we implement:
 
-* :func:`nested_dissection` — recursive graph bisection with BFS level-set
-  separators (George–Liu style): find a pseudo-peripheral vertex, build its
-  level structure, cut at the median level, order the separator last and
-  recurse on the halves.  This produces the balanced elimination trees with
-  large top separators that characterize METIS orderings — which is all the
-  downstream mapping/scheduling machinery observes.
+* :func:`nested_dissection` — recursive graph bisection: large subgraphs
+  are cut at the median of their Fiedler vector (LOBPCG), smaller ones with
+  BFS level-set separators (George–Liu style: find a pseudo-peripheral
+  vertex, build its level structure, cut at the level balancing separator
+  size against imbalance); the separator is ordered last and the halves
+  recursed on.  This produces the balanced elimination trees with large
+  top separators that characterize METIS orderings — which is all the
+  downstream mapping/scheduling machinery observes.  The graph kernels are
+  whole-array numpy code (no per-vertex Python loops).
+* :func:`minimum_degree` — plain greedy minimum degree, for ablations.
 * :func:`reverse_cuthill_mckee` — profile-reducing ordering (via SciPy),
   kept as a contrast ordering for tests and ablations (long skinny trees).
 * :func:`natural` — identity ordering, for tests.
@@ -36,10 +40,25 @@ def natural(A: sp.spmatrix) -> np.ndarray:
 
 def reverse_cuthill_mckee(A: sp.spmatrix) -> np.ndarray:
     """Reverse Cuthill–McKee ordering of the symmetrized pattern."""
-    from .graph import symmetrize_pattern
-
     return np.asarray(_rcm(symmetrize_pattern(A), symmetric_mode=True),
                       dtype=np.int64)
+
+
+def _degrees(adj: Adjacency, vertices: np.ndarray) -> np.ndarray:
+    return adj.indptr[vertices + 1] - adj.indptr[vertices]
+
+
+def _neighbor_slices(adj: Adjacency, vertices: np.ndarray):
+    """``(degrees, nbr)``: every neighbour of ``vertices``, concatenated.
+
+    Neighbour lists are laid out in the order of ``vertices``, each in
+    adjacency order, so ``np.repeat(vertices, degrees)`` names the vertex
+    whose list holds each entry of ``nbr``.
+    """
+    starts = adj.indptr[vertices]
+    counts = adj.indptr[vertices + 1] - starts
+    offsets = np.repeat(starts - (np.cumsum(counts) - counts), counts)
+    return counts, adj.indices[offsets + np.arange(len(offsets))]
 
 
 def _bfs_levels(adj: Adjacency, start: int, inset: np.ndarray,
@@ -47,31 +66,36 @@ def _bfs_levels(adj: Adjacency, start: int, inset: np.ndarray,
     """Level structure of the subgraph marked by ``inset`` from ``start``.
 
     ``level`` is a scratch array (reset for touched vertices on entry by the
-    caller via fill value -1 restricted to the subset).
+    caller via fill value -1 restricted to the subset).  Each level lists
+    its vertices in first-encounter order: frontier vertices in order, each
+    scanning its neighbours in adjacency order.
     """
     levels = [np.array([start], dtype=np.int64)]
     level[start] = 0
-    frontier = [start]
+    frontier = levels[0]
     depth = 0
-    while frontier:
+    while True:
         depth += 1
-        nxt = []
-        for v in frontier:
-            for w in adj.neighbors(v):
-                if inset[w] and level[w] == -1:
-                    level[w] = depth
-                    nxt.append(int(w))
-        if nxt:
-            levels.append(np.array(nxt, dtype=np.int64))
-        frontier = nxt
-    return levels
+        _, nbr = _neighbor_slices(adj, frontier)
+        nbr = nbr[inset[nbr] & (level[nbr] == -1)]
+        if len(nbr) == 0:
+            return levels
+        _, first = np.unique(nbr, return_index=True)
+        first.sort()
+        frontier = nbr[first]
+        level[frontier] = depth
+        levels.append(frontier)
+
+
+def _min_degree_vertex(adj: Adjacency, vertices: np.ndarray) -> int:
+    """First vertex of least degree in ``vertices``."""
+    return int(vertices[np.argmin(_degrees(adj, vertices))])
 
 
 def _pseudo_peripheral(adj: Adjacency, vertices: np.ndarray,
                        inset: np.ndarray, level: np.ndarray) -> int:
     """A vertex of (near) maximal eccentricity in the induced subgraph."""
-    start = int(vertices[np.argmin([adj.degree(int(v)) for v in
-                                    vertices[: min(len(vertices), 64)]])])
+    start = _min_degree_vertex(adj, vertices[: min(len(vertices), 64)])
     best_depth = -1
     for _ in range(4):  # few sweeps converge in practice
         level[vertices] = -1
@@ -79,10 +103,47 @@ def _pseudo_peripheral(adj: Adjacency, vertices: np.ndarray,
         if len(levels) <= best_depth:
             break
         best_depth = len(levels)
-        last = levels[-1]
-        degs = np.array([adj.degree(int(v)) for v in last])
-        start = int(last[np.argmin(degs)])
+        start = _min_degree_vertex(adj, levels[-1])
     return start
+
+
+def _level_cut(adj: Adjacency, verts: np.ndarray, levels: List[np.ndarray],
+               level: np.ndarray, inset: np.ndarray,
+               is_boundary: np.ndarray) -> int:
+    """Pick the separator level of a level structure of ``verts``.
+
+    Thin separators: within level k, only vertices with a neighbour in
+    level k+1 must be removed to disconnect the halves (BFS levels differ by
+    at most 1 across any edge).  Marks those vertices in ``is_boundary`` in
+    one edge pass, then returns the cut level k (``1 ≤ k ≤ len(levels)-2``)
+    minimizing |boundary| weighted by the imbalance of the halves; the
+    first such level on ties.
+    """
+    inset[verts] = True
+    inner = np.concatenate(levels[:-1])
+    degs, nbr = _neighbor_slices(adj, inner)
+    owner = np.repeat(inner, degs)
+    crosses = inset[nbr] & (level[nbr] == level[owner] + 1)
+    is_boundary[owner[crosses]] = True
+    inset[verts] = False
+    bsizes = np.bincount(level[verts][is_boundary[verts]],
+                         minlength=len(levels))
+    csum = np.cumsum([len(l) for l in levels])
+    total = csum[-1]
+    k = np.arange(1, len(levels) - 1)
+    below = csum[k] - bsizes[k]  # levels ≤ k minus the separator
+    above = total - csum[k]
+    imbalance = np.abs(below - above) / total
+    score = (bsizes[k] + 1) * (1.0 + 4.0 * imbalance)
+    return int(k[np.argmin(score)])
+
+
+def _cut_vertices(sub: sp.csr_matrix, in_b: np.ndarray) -> np.ndarray:
+    """Mask of the vertices of ``sub`` with a neighbour across ``in_b``."""
+    rows = np.repeat(np.arange(sub.shape[0]), np.diff(sub.indptr))
+    on_cut = np.zeros(sub.shape[0], dtype=bool)
+    on_cut[rows[in_b[sub.indices] != in_b[rows]]] = True
+    return on_cut
 
 
 def _spectral_split(
@@ -125,15 +186,9 @@ def _spectral_split(
     if in_b.all() or (~in_b).all():
         return None
     # vertex separator: boundary of the smaller side of the edge cut
-    indptr, indices = sub.indptr, sub.indices
-    boundary_a = np.zeros(nsub, dtype=bool)
-    boundary_b = np.zeros(nsub, dtype=bool)
-    for u in range(nsub):
-        ub = in_b[u]
-        for t in range(indptr[u], indptr[u + 1]):
-            if in_b[indices[t]] != ub:
-                (boundary_b if ub else boundary_a)[u] = True
-                break
+    on_cut = _cut_vertices(sub, in_b)
+    boundary_a = on_cut & ~in_b
+    boundary_b = on_cut & in_b
     if boundary_a.sum() == 0 and boundary_b.sum() == 0:
         return None  # already disconnected along the cut
     use_b = boundary_b.sum() <= boundary_a.sum()
@@ -166,7 +221,6 @@ def nested_dissection(
     adj = adjacency_from_matrix(A)
     n = adj.n
     perm_out = np.empty(n, dtype=np.int64)
-    pos = n  # we fill from the back: separators last
     inset = np.zeros(n, dtype=bool)
     level = np.full(n, -1, dtype=np.int64)
     is_boundary = np.zeros(n, dtype=bool)
@@ -176,8 +230,7 @@ def nested_dissection(
     out_blocks: List[np.ndarray] = []
 
     def order_leaf(vertices: np.ndarray) -> np.ndarray:
-        degs = np.array([adj.degree(int(v)) for v in vertices])
-        return vertices[np.argsort(degs, kind="stable")]
+        return vertices[np.argsort(_degrees(adj, vertices), kind="stable")]
 
     while stack:
         verts = stack.pop()
@@ -212,34 +265,7 @@ def nested_dissection(
             # Dense / tiny-diameter subgraph: no useful separator.
             out_blocks.append(order_leaf(verts))
             continue
-        # Thin separators: within level k, only vertices with a neighbour in
-        # level k+1 must be removed to disconnect the halves (BFS levels
-        # differ by at most 1 across any edge).  Compute per-level boundary
-        # counts in one edge pass, then pick the cut minimizing
-        # |boundary| weighted by the imbalance of the halves.
-        inset[verts] = True
-        for lev in levels[:-1]:
-            for v in lev:
-                lv = level[v]
-                for w in adj.neighbors(int(v)):
-                    if inset[w] and level[w] == lv + 1:
-                        is_boundary[v] = True
-                        break
-        inset[verts] = False
-        sizes = np.array([len(l) for l in levels])
-        bsizes = np.array(
-            [int(is_boundary[l].sum()) for l in levels[:-1]] + [0]
-        )
-        csum = np.cumsum(sizes)
-        total = csum[-1]
-        best, best_score = None, None
-        for k in range(1, len(levels) - 1):
-            below = csum[k] - bsizes[k]  # levels ≤ k minus the separator
-            above = total - csum[k]
-            imbalance = abs(below - above) / total
-            score = (bsizes[k] + 1) * (1.0 + 4.0 * imbalance)
-            if best_score is None or score < best_score:
-                best, best_score = k, score
+        best = _level_cut(adj, verts, levels, level, inset, is_boundary)
         cut = levels[best]
         sep = cut[is_boundary[cut]]
         rest_k = cut[~is_boundary[cut]]
@@ -329,7 +355,7 @@ ORDERINGS = {
 
 
 def compute_ordering(A: sp.spmatrix, method: str = "nd", **kw) -> np.ndarray:
-    """Dispatch by name ('nd', 'rcm', 'natural')."""
+    """Dispatch by name ('nd', 'rcm', 'md', 'natural')."""
     try:
         fn = ORDERINGS[method]
     except KeyError:
